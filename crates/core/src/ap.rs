@@ -19,8 +19,9 @@ use dlte_x2::messages::wire as x2wire;
 use dlte_x2::{X2Agent, X2Msg};
 use std::collections::HashMap;
 
-/// Fetch-timeout timer tags are `TAG_FETCH_BASE + epoch`; the X2 agent owns
-/// `7_000_000..8_000_000` and the core's processor allocates upward from 0.
+/// Fetch-timeout timer tags are `TAG_FETCH_BASE + epoch` and the X2 agent
+/// owns `7_000_000..8_000_000`. The core's processor allocates upward from
+/// 0 with no ceiling, so it claims its own tags first (see `on_timer`).
 const TAG_FETCH_BASE: u64 = 8_000_000;
 
 /// How long the AP holds an attach while a context fetch is outstanding
@@ -245,8 +246,12 @@ impl NodeHandler for DlteApNode {
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
-        // Tag spaces: fetch timeouts ≥ 8_000_000, the X2 tick ≥ 7_000_000,
-        // the core's processor allocates upward from 0.
+        // The core's processor allocates tags upward from 0 with no ceiling,
+        // so route by ownership: it claims its pending tags first. Of the
+        // rest, fetch timeouts are ≥ 8_000_000 and the X2 tick ≥ 7_000_000.
+        if self.core.proc.on_timer(ctx, tag) {
+            return;
+        }
         if tag >= TAG_FETCH_BASE {
             let epoch = tag - TAG_FETCH_BASE;
             let timed_out = self
@@ -267,8 +272,6 @@ impl NodeHandler for DlteApNode {
             if let Some(fo) = &mut self.failover {
                 fo.tick(ctx);
             }
-        } else {
-            self.core.on_timer(ctx, tag);
         }
     }
 
@@ -311,10 +314,13 @@ impl NodeHandler for DlteApNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{DlteNetworkBuilder, KeyDistribution};
     use dlte_auth::open::PublishedKeyDirectory;
     use dlte_epc::local_core::KeySource;
+    use dlte_epc::proc::Processor;
+    use dlte_epc::ue::{UeNode, UeState};
     use dlte_net::{Addr, AddrPool, Prefix};
-    use dlte_sim::{SimDuration, SimRng};
+    use dlte_sim::{SimDuration, SimRng, SimTime};
     use dlte_x2::CoordinationMode;
 
     #[test]
@@ -335,5 +341,58 @@ mod tests {
         let ap = DlteApNode::new(core, x2);
         assert_eq!(ap.tdm_share(), 1.0, "no peers yet → full channel");
         assert_eq!(ap.core.active_sessions(), 0);
+    }
+
+    #[test]
+    fn core_timer_tags_at_the_x2_range_stay_with_the_core() {
+        // Regression: the core's processor hands out timer tags upward from
+        // 0 with no ceiling, and routing by tag range sent its tags past
+        // 7_000_000 to the X2 agent — the reply was never sent, and tag
+        // 7_000_000 itself started a second X2 tick chain. The core's
+        // processor carries the directory lookups of a remote key source:
+        // start it just below that range so a dozen attaches cross it.
+        let ues = 12;
+        let run = |tag_base: Option<u64>| {
+            let mut builder = DlteNetworkBuilder::new(2, ues);
+            builder.keys = KeyDistribution::RemoteDirectory;
+            let mut net = builder.build();
+            for &ap in &net.aps {
+                let ap = net
+                    .sim
+                    .world_mut()
+                    .handler_as_mut::<DlteApNode>(ap)
+                    .unwrap();
+                if let Some(base) = tag_base {
+                    ap.core.proc = Processor::new(ap.core.proc.per_msg, base);
+                }
+            }
+            net.sim.run_until(SimTime::from_secs(3), 1_000_000);
+            let w = net.sim.world();
+            let attached = net
+                .ues
+                .iter()
+                .filter(|&&ue| w.handler_as::<UeNode>(ue).unwrap().state == UeState::Attached)
+                .count();
+            let ap = w.handler_as::<DlteApNode>(net.aps[0]).unwrap();
+            (
+                attached,
+                ap.core.stats.attaches_completed,
+                ap.core.proc.processed,
+                ap.x2.stats.msgs_sent,
+            )
+        };
+        let base = 6_999_990;
+        let (attached, attaches, processed, x2_sent) = run(Some(base));
+        assert!(
+            base + processed > 7_000_000,
+            "the attaches must cross into the X2 tag range ({processed} messages)"
+        );
+        assert_eq!(attached, 2 * ues, "every core reply was sent");
+        assert_eq!(attaches, ues as u64);
+        let (_, _, _, x2_sent_plain) = run(None);
+        assert_eq!(
+            x2_sent, x2_sent_plain,
+            "one X2 tick chain, as without the offset"
+        );
     }
 }

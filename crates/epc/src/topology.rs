@@ -472,11 +472,11 @@ mod tests {
         let now = net.sim.now();
         net.sim.queue_mut().schedule_at(
             now,
-            dlte_net::NetEvent::Fault(dlte_net::NetFault::NodeDown { node: net.sgw }),
+            dlte_net::NetEvent::Fault(Box::new(dlte_net::NetFault::NodeDown { node: net.sgw })),
         );
         net.sim.queue_mut().schedule_at(
             SimTime::from_secs(6),
-            dlte_net::NetEvent::Fault(dlte_net::NetFault::NodeUp { node: net.sgw }),
+            dlte_net::NetEvent::Fault(Box::new(dlte_net::NetFault::NodeUp { node: net.sgw })),
         );
         net.sim.run_until(SimTime::from_secs(14), 20_000_000);
         let w = net.sim.world();
@@ -523,11 +523,11 @@ mod tests {
             .build();
         net.sim.queue_mut().schedule_at(
             SimTime::from_secs(3),
-            dlte_net::NetEvent::Fault(dlte_net::NetFault::NodeDown { node: net.sgw }),
+            dlte_net::NetEvent::Fault(Box::new(dlte_net::NetFault::NodeDown { node: net.sgw })),
         );
         net.sim.queue_mut().schedule_at(
             SimTime::from_millis(3_200),
-            dlte_net::NetEvent::Fault(dlte_net::NetFault::NodeUp { node: net.sgw }),
+            dlte_net::NetEvent::Fault(Box::new(dlte_net::NetFault::NodeUp { node: net.sgw })),
         );
         net.sim.run_until(SimTime::from_secs(8), 20_000_000);
         let w = net.sim.world();

@@ -465,7 +465,8 @@ impl FaultPlan {
     /// events. Call once, before (or during) the run.
     pub fn inject(&self, sim: &mut Simulation<Network>) {
         for (t, fault) in self.compile() {
-            sim.queue_mut().schedule_at(t, NetEvent::Fault(fault));
+            sim.queue_mut()
+                .schedule_at(t, NetEvent::Fault(Box::new(fault)));
         }
     }
 

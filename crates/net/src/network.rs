@@ -86,9 +86,13 @@ pub enum NetEvent {
     Timer { node: NodeId, tag: u64 },
     /// Deliver `on_start` to every handler (scheduled once at t=0).
     Start,
-    /// Apply a fault (scheduled by fault plans or chaos handlers).
-    Fault(NetFault),
+    /// Apply a fault (scheduled by fault plans or chaos handlers). Boxed:
+    /// faults are rare, and inline they would triple every event's size.
+    Fault(Box<NetFault>),
 }
+
+// Every pending event fills a queue slab slot: box any large, rare variant.
+const _: () = assert!(std::mem::size_of::<NetEvent>() == 24);
 
 /// A single fault applied to the world at a point in time. These are the
 /// *mechanisms*; `dlte-faults` provides the seeded, serde-able plans that
@@ -854,7 +858,7 @@ impl World for Network {
                 }
                 queue.set_origin(0);
             }
-            NetEvent::Fault(fault) => self.apply_fault(now, fault, queue),
+            NetEvent::Fault(fault) => self.apply_fault(now, *fault, queue),
         }
     }
 }
@@ -1303,11 +1307,11 @@ mod tests {
         let mut sim = b.build();
         sim.queue_mut().schedule_at(
             SimTime::from_millis(100),
-            NetEvent::Fault(NetFault::NodeDown { node: dst }),
+            NetEvent::Fault(Box::new(NetFault::NodeDown { node: dst })),
         );
         sim.queue_mut().schedule_at(
             SimTime::from_millis(200),
-            NetEvent::Fault(NetFault::NodeUp { node: dst }),
+            NetEvent::Fault(Box::new(NetFault::NodeUp { node: dst })),
         );
         sim.run_until(SimTime::from_millis(305), 100_000);
         let w = sim.world();
@@ -1404,11 +1408,11 @@ mod tests {
         let mut sim = b.build();
         sim.queue_mut().schedule_at(
             SimTime::from_millis(15),
-            NetEvent::Fault(NetFault::NodePause { node: t }),
+            NetEvent::Fault(Box::new(NetFault::NodePause { node: t })),
         );
         sim.queue_mut().schedule_at(
             SimTime::from_millis(45),
-            NetEvent::Fault(NetFault::NodeResume { node: t }),
+            NetEvent::Fault(Box::new(NetFault::NodeResume { node: t })),
         );
         sim.run_to_completion(1000);
         let w = sim.world();
@@ -1431,10 +1435,10 @@ mod tests {
         let mut sim = b.build();
         sim.queue_mut().schedule_at(
             SimTime::ZERO,
-            NetEvent::Fault(NetFault::Partition {
+            NetEvent::Fault(Box::new(NetFault::Partition {
                 nodes: vec![a],
                 up: false,
-            }),
+            })),
         );
         sim.run_to_completion(10);
         {
@@ -1446,10 +1450,10 @@ mod tests {
         let now = sim.now();
         sim.queue_mut().schedule_at(
             now,
-            NetEvent::Fault(NetFault::Partition {
+            NetEvent::Fault(Box::new(NetFault::Partition {
                 nodes: vec![a],
                 up: true,
-            }),
+            })),
         );
         sim.run_to_completion(10);
         let links = &sim.world().core.links;
@@ -1505,15 +1509,15 @@ mod tests {
         let mut sim = b.build();
         sim.queue_mut().schedule_at(
             SimTime::from_millis(1),
-            NetEvent::Fault(NetFault::LinkUp { link: l, up: false }),
+            NetEvent::Fault(Box::new(NetFault::LinkUp { link: l, up: false })),
         );
         sim.queue_mut().schedule_at(
             SimTime::from_millis(2),
-            NetEvent::Fault(NetFault::NodeDown { node: c }),
+            NetEvent::Fault(Box::new(NetFault::NodeDown { node: c })),
         );
         sim.queue_mut().schedule_at(
             SimTime::from_millis(3),
-            NetEvent::Fault(NetFault::NodeUp { node: c }),
+            NetEvent::Fault(Box::new(NetFault::NodeUp { node: c })),
         );
         sim.run_to_completion(100);
         let records = dlte_obs::take_records();
@@ -1614,7 +1618,7 @@ mod tests {
             (400, NetFault::NodeUp { node: dst }),
         ] {
             sim.queue_mut()
-                .schedule_at(SimTime::from_millis(ms), NetEvent::Fault(fault));
+                .schedule_at(SimTime::from_millis(ms), NetEvent::Fault(Box::new(fault)));
         }
         sim.run_until(SimTime::from_millis(505), 1_000_000);
         let audit = sim.world().audit(in_flight_packets(sim.queue()));

@@ -336,7 +336,8 @@ impl NodeCtx<'_> {
         delay: SimDuration,
         fault: crate::network::NetFault,
     ) -> EventKey {
-        self.queue.schedule_in(delay, NetEvent::Fault(fault))
+        self.queue
+            .schedule_in(delay, NetEvent::Fault(Box::new(fault)))
     }
 
     /// Whether a link is currently up.

@@ -261,12 +261,13 @@ impl ShardedSim {
     pub fn schedule_fault_broadcast(&mut self, at: SimTime, fault: NetFault) {
         match self {
             ShardedSim::Single(sim) => {
-                sim.queue_mut().schedule_at(at, NetEvent::Fault(fault));
+                sim.queue_mut()
+                    .schedule_at(at, NetEvent::Fault(Box::new(fault)));
             }
             ShardedSim::Multi { shards, .. } => {
                 for sim in shards.iter_mut() {
                     sim.queue_mut()
-                        .schedule_at(at, NetEvent::Fault(fault.clone()));
+                        .schedule_at(at, NetEvent::Fault(Box::new(fault.clone())));
                 }
             }
         }

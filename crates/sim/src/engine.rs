@@ -13,9 +13,10 @@
 //!   monotone counter. Events from the same origin therefore stay FIFO,
 //!   and ties across origins break by origin id — an order that does not
 //!   depend on any queue-global state;
-//! * cancellation via [`EventKey`] marks the event's slab slot vacant in
-//!   O(1) — no per-pop hash probing; the heap key left behind is discarded
-//!   when it surfaces (its slot no longer matches its guard number).
+//! * cancellation via [`EventKey`] empties the event's slab slot in O(1) —
+//!   no per-pop hash probing. The slot stays owned by its heap entry until
+//!   that entry surfaces and is discarded, so a heap entry never needs a
+//!   reuse guard of its own.
 //!
 //! The canonical key exists for the sharded engine (see [`crate::shard`]):
 //! because `(origin, oseq)` pairs are a pure function of each origin's own
@@ -68,11 +69,13 @@ pub trait World {
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct HeapKey {
     at: SimTime,
-    origin: u64,
     oseq: u64,
+    origin: u32,
     slot: u32,
-    guard: u64,
 }
+
+// Three words keep a deep heap cache-resident: no reuse guard, 32-bit origin.
+const _: () = assert!(std::mem::size_of::<Reverse<HeapKey>>() == 24);
 
 impl PartialOrd for HeapKey {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
@@ -85,29 +88,33 @@ impl Ord for HeapKey {
     }
 }
 
-/// One slab entry. `event: None` means vacant (fired or canceled); `guard`
-/// stays behind as the reuse guard — a heap key or [`EventKey`] only acts
-/// on the slot while its guard number matches.
+/// One slab entry. `event: None` means fired or canceled. A slot is owned
+/// by exactly one heap entry from `schedule_*` until that entry leaves the
+/// heap (popped, or discarded as an orphan), and only then returns to the
+/// free list — so a heap entry's slot is live iff it holds an event, with
+/// no guard to compare. `guard` is consulted by [`EventQueue::cancel`]
+/// alone: an [`EventKey`] only acts on the slot while its guard matches.
 struct Slot<E> {
     guard: u64,
     event: Option<E>,
 }
 
 /// A priority queue of future events: a slab of scheduled payloads indexed
-/// by a heap of canonical `(time, origin, oseq)` keys. Cancellation vacates
-/// the slab slot by index — O(1), no hashing — and the orphaned heap key is
-/// discarded whenever it reaches the top.
+/// by a heap of canonical `(time, origin, oseq)` keys. Cancellation empties
+/// the slab slot by index — O(1), no hashing — and the orphaned heap key
+/// (with its slot) is released whenever it reaches the top.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<HeapKey>>,
     slots: Vec<Slot<E>>,
-    /// Vacant slab indices, reused LIFO.
+    /// Slab indices no heap entry refers to, reused LIFO.
     free: Vec<u32>,
     /// Number of scheduled, not-yet-canceled events.
     live: usize,
-    /// Slot-reuse guard counter (never ordering-relevant).
+    /// Cancel-key guard counter (never ordering-relevant). Monotone for the
+    /// queue's lifetime, including across [`EventQueue::reclaim`].
     next_guard: u64,
     /// The origin tag stamped on subsequent `schedule_*` calls.
-    cur_origin: u64,
+    cur_origin: u32,
     /// Per-origin FIFO counters, indexed by origin id.
     oseqs: Vec<u64>,
     now: SimTime,
@@ -145,13 +152,16 @@ impl<E> EventQueue<E> {
     /// with `entity_id + 1` so same-time ties resolve identically at every
     /// shard count. Worlds that never shard can ignore this entirely —
     /// everything defaults to origin 0, which preserves plain global FIFO.
+    ///
+    /// Panics if `origin` does not fit in 32 bits (the heap stores it as
+    /// `u32`; a silently truncated origin would break the total order).
     pub fn set_origin(&mut self, origin: u64) {
-        self.cur_origin = origin;
+        self.cur_origin = narrow_origin(origin);
     }
 
     /// The origin tag currently stamped on `schedule_*` calls.
     pub fn origin(&self) -> u64 {
-        self.cur_origin
+        self.cur_origin as u64
     }
 
     /// Allocate the next `(origin, oseq)` pair under the current origin
@@ -161,10 +171,10 @@ impl<E> EventQueue<E> {
     /// where the exported event would have claimed the same position.
     pub fn alloc_key(&mut self) -> (u64, u64) {
         let origin = self.cur_origin;
-        (origin, self.bump_oseq(origin))
+        (origin as u64, self.bump_oseq(origin))
     }
 
-    fn bump_oseq(&mut self, origin: u64) -> u64 {
+    fn bump_oseq(&mut self, origin: u32) -> u64 {
         let idx = origin as usize;
         if idx >= self.oseqs.len() {
             self.oseqs.resize(idx + 1, 0);
@@ -188,8 +198,10 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::alloc_key`]) on the sending shard, so the event sorts
     /// exactly where it would have in a single-queue run. Each origin must
     /// be keyed from exactly one allocator — reusing an `(origin, oseq)`
-    /// pair breaks the total order.
+    /// pair breaks the total order. Panics if `origin` does not fit in 32
+    /// bits, like [`EventQueue::set_origin`].
     pub fn schedule_keyed(&mut self, at: SimTime, origin: u64, oseq: u64, event: E) -> EventKey {
+        let origin = narrow_origin(origin);
         debug_assert!(
             at >= self.now,
             "scheduled event in the past: {at:?} < {:?}",
@@ -207,20 +219,19 @@ impl<E> EventQueue<E> {
                 i
             }
             None => {
-                debug_assert!(self.slots.len() < u32::MAX as usize);
+                let i = u32::try_from(self.slots.len()).expect("event slab exceeds u32 slots");
                 self.slots.push(Slot {
                     guard,
                     event: Some(event),
                 });
-                (self.slots.len() - 1) as u32
+                i
             }
         };
         self.heap.push(Reverse(HeapKey {
             at,
-            origin,
             oseq,
+            origin,
             slot,
-            guard,
         }));
         self.live += 1;
         EventKey { slot, guard }
@@ -237,17 +248,17 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now, event)
     }
 
-    /// Cancel a previously scheduled event: vacate its slab slot by index.
-    /// Idempotent; canceling an event that already fired is a no-op (the
-    /// slot's guard number no longer matches, the slot is vacant, or —
-    /// after a [`EventQueue::reclaim`] — the slot index is out of bounds).
+    /// Cancel a previously scheduled event: empty its slab slot by index.
+    /// The slot returns to the free list only when its orphaned heap key
+    /// surfaces. Idempotent; canceling an event that already fired is a
+    /// no-op (the slot's guard number no longer matches, the slot is empty,
+    /// or — after a [`EventQueue::reclaim`] — the slot index is out of
+    /// bounds).
     pub fn cancel(&mut self, key: EventKey) {
         let Some(s) = self.slots.get_mut(key.slot as usize) else {
             return; // stale key from before a slab reclaim
         };
-        if s.guard == key.guard && s.event.is_some() {
-            s.event = None;
-            self.free.push(key.slot);
+        if s.guard == key.guard && s.event.take().is_some() {
             self.live -= 1;
         }
     }
@@ -283,10 +294,17 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|Reverse(k)| k.at)
     }
 
-    /// Whether this heap key still refers to the event it was pushed for.
+    /// Whether this heap key's event is still scheduled. The slot cannot
+    /// have been reused while the key is in the heap, so a held event is
+    /// necessarily the one the key was pushed for.
     fn key_is_live(&self, k: HeapKey) -> bool {
-        let s = &self.slots[k.slot as usize];
-        s.guard == k.guard && s.event.is_some()
+        self.slots[k.slot as usize].event.is_some()
+    }
+
+    /// Pop the orphaned heap key of a canceled event and release its slot.
+    fn discard_top(&mut self, k: HeapKey) {
+        self.heap.pop();
+        self.free.push(k.slot);
     }
 
     /// Drop canceled events' orphaned keys off the heap top until a live
@@ -298,7 +316,7 @@ impl<E> EventQueue<E> {
             if self.key_is_live(k) {
                 break;
             }
-            self.heap.pop();
+            self.discard_top(k);
         }
     }
 
@@ -328,7 +346,7 @@ impl<E> EventQueue<E> {
         if self.live != 0 || self.slots.capacity() < RECLAIM_MIN_SLOTS {
             return;
         }
-        // All slots are vacant and every heap key is an orphan: drop the lot.
+        // Every slot is empty and every heap key is an orphan: drop the lot.
         self.slots = Vec::new();
         self.free = Vec::new();
         self.heap = BinaryHeap::new();
@@ -346,7 +364,7 @@ impl<E> EventQueue<E> {
         loop {
             let &Reverse(k) = self.heap.peek()?;
             if !self.key_is_live(k) {
-                self.heap.pop();
+                self.discard_top(k);
                 continue;
             }
             if k.at > horizon {
@@ -362,6 +380,12 @@ impl<E> EventQueue<E> {
             return Some((k.at, event));
         }
     }
+}
+
+/// The heap's 32-bit origin for a public `u64` origin tag. Checked: two
+/// origins that collided after truncation would break the total order.
+fn narrow_origin(origin: u64) -> u32 {
+    u32::try_from(origin).expect("event origin exceeds u32::MAX")
 }
 
 /// Outcome of running a simulation.
@@ -813,6 +837,136 @@ mod tests {
         assert_eq!(queue.pending(), 1, "stale cancels are no-ops");
         let (_, ev) = queue.pop().expect("survivor");
         assert!(matches!(ev, Ev::Tag(42)));
+    }
+
+    /// The queue against an ordered-map reference.
+    mod canonical_order {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One operation of the queue-vs-`BTreeMap` equivalence test below.
+        #[derive(Clone, Debug)]
+        enum QOp {
+            /// `set_origin` for subsequent local schedules.
+            Origin(u64),
+            /// `schedule_at(now + dt)` under the current origin, `n` times.
+            Schedule { dt: u64, n: usize },
+            /// `schedule_keyed(now + dt)` from remote allocator `r` (its own
+            /// per-origin counter, as a sending shard would keep).
+            Keyed { r: usize, dt: u64 },
+            /// Cancel the `i % issued`-th key ever issued: live, fired, already
+            /// canceled, or from before a reclaim.
+            Cancel(usize),
+            /// `pop_at_or_before(now + h)`.
+            Pop(u64),
+            /// Pop everything, then `reclaim`.
+            DrainReclaim,
+        }
+
+        /// Origins of the remote allocators: disjoint from the local origins
+        /// `0..4` (every origin has exactly one allocator), the largest being
+        /// the widest origin the heap entry can hold.
+        const REMOTE_ORIGINS: [u64; 3] = [7, 1 << 20, u32::MAX as u64];
+
+        fn arb_qop() -> impl Strategy<Value = QOp> {
+            // Small time offsets force same-instant ties across origins.
+            prop_oneof![
+                (0u64..4).prop_map(QOp::Origin),
+                (0u64..4, 1usize..4).prop_map(|(dt, n)| QOp::Schedule { dt, n }),
+                (0u64..4, 20usize..90).prop_map(|(dt, n)| QOp::Schedule { dt, n }),
+                (0usize..3, 0u64..4).prop_map(|(r, dt)| QOp::Keyed { r, dt }),
+                any::<usize>().prop_map(QOp::Cancel),
+                any::<usize>().prop_map(QOp::Cancel),
+                (0u64..3).prop_map(QOp::Pop),
+                (0u64..3).prop_map(QOp::Pop),
+                Just(QOp::DrainReclaim),
+            ]
+        }
+
+        proptest! {
+            /// The slab queue dispatches exactly like an ordered map keyed by
+            /// the canonical `(at, origin, oseq)`, across schedules, keyed
+            /// inserts, cancels (stale ones included), horizon pops and slab
+            /// reclaims. Cancelling by canonical key in the reference is
+            /// exact because a pair is never reused.
+            #[test]
+            fn queue_pops_in_canonical_key_order(
+                ops in prop::collection::vec(arb_qop(), 1..120),
+            ) {
+                type Key = (SimTime, u64, u64);
+                let mut q: EventQueue<u32> = EventQueue::new();
+                let mut reference: std::collections::BTreeMap<Key, u32> = Default::default();
+                let mut issued: Vec<(EventKey, Key)> = Vec::new();
+                // The reference keeps every allocator's counter itself.
+                let mut local_oseq = [0u64; 4];
+                let mut remote_oseq = [0u64; 3];
+                let mut ids = 0u32;
+                // Pop one event from both, at or before `horizon`.
+                let pop = |q: &mut EventQueue<u32>,
+                           reference: &mut std::collections::BTreeMap<Key, u32>,
+                           horizon: SimTime| {
+                    let want = match reference.first_key_value() {
+                        Some((&k, _)) if k.0 <= horizon => reference.remove_entry(&k),
+                        _ => None,
+                    };
+                    let got = q.pop_at_or_before(horizon);
+                    assert_eq!(got, want.map(|((at, _, _), id)| (at, id)));
+                    got.is_some()
+                };
+                for op in ops {
+                    let now = q.now();
+                    match op {
+                        QOp::Origin(o) => q.set_origin(o),
+                        QOp::Schedule { dt, n } => {
+                            for _ in 0..n {
+                                let at = now + SimDuration::from_nanos(dt);
+                                let origin = q.origin();
+                                let oseq = local_oseq[origin as usize];
+                                local_oseq[origin as usize] += 1;
+                                let key = q.schedule_at(at, ids);
+                                reference.insert((at, origin, oseq), ids);
+                                issued.push((key, (at, origin, oseq)));
+                                ids += 1;
+                            }
+                        }
+                        QOp::Keyed { r, dt } => {
+                            let at = now + SimDuration::from_nanos(dt);
+                            let (origin, oseq) = (REMOTE_ORIGINS[r], remote_oseq[r]);
+                            remote_oseq[r] += 1;
+                            let key = q.schedule_keyed(at, origin, oseq, ids);
+                            reference.insert((at, origin, oseq), ids);
+                            issued.push((key, (at, origin, oseq)));
+                            ids += 1;
+                        }
+                        QOp::Cancel(i) => {
+                            if !issued.is_empty() {
+                                let (key, canonical) = issued[i % issued.len()];
+                                q.cancel(key);
+                                reference.remove(&canonical);
+                            }
+                        }
+                        QOp::Pop(h) => {
+                            pop(&mut q, &mut reference, now + SimDuration::from_nanos(h));
+                        }
+                        QOp::DrainReclaim => {
+                            while pop(&mut q, &mut reference, SimTime::MAX) {}
+                            q.reclaim();
+                        }
+                    }
+                    prop_assert_eq!(q.pending(), reference.len());
+                    prop_assert_eq!(q.peek_time(), reference.keys().next().map(|k| k.0));
+                }
+                while pop(&mut q, &mut reference, SimTime::MAX) {}
+                prop_assert!(q.is_empty() && reference.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "event origin exceeds u32::MAX")]
+    fn origin_wider_than_u32_is_rejected_not_truncated() {
+        let mut queue: EventQueue<Ev> = EventQueue::new();
+        queue.set_origin(u32::MAX as u64 + 1);
     }
 
     #[test]

@@ -27,10 +27,14 @@ pub fn max_min_shares(demands: &[f64], total: f64) -> Vec<f64> {
 }
 
 /// [`max_min_shares`] writing into caller-owned buffers — the X2 agent
-/// recomputes its share on every report tick (and once per peer during the
-/// setup storm), so the hot path reuses its scratch vectors instead of
-/// allocating three fresh ones per call. `shares` is cleared and refilled;
+/// recomputes its share on every report tick and on every report that adds
+/// a peer or changes one (each `SetupRequest` of the setup storm
+/// included), so the hot path reuses its scratch vectors instead of
+/// allocating two fresh ones per call. `shares` is cleared and refilled;
 /// `unsatisfied` is pure scratch with no meaningful contents afterwards.
+/// The floating-point result depends on the order of `demands`, so callers
+/// that need reproducible shares pass them in a fixed order (the agent:
+/// its own demand first, then its fresh peers by address).
 pub fn max_min_shares_into(
     demands: &[f64],
     total: f64,
