@@ -56,27 +56,26 @@ impl MovePlan {
     /// The timeline sorted by time, then UE, then target AP — a pure
     /// function of the *set* of moves, like `FaultPlan::compile`.
     pub fn compile(&self) -> Vec<(SimTime, MoveSpec)> {
-        let mut out: Vec<(SimTime, MoveSpec)> = self
-            .moves
-            .iter()
-            .map(|&m| {
-                (
-                    SimTime::ZERO + SimDuration::from_secs_f64(m.at_s.max(0.0)),
-                    m,
-                )
-            })
-            .collect();
+        let mut out: Vec<(SimTime, MoveSpec)> =
+            self.moves.iter().map(|&m| (at_time(m.at_s), m)).collect();
         out.sort_by_key(|&(t, m)| (t, m.ue, m.ap));
         out
     }
 
-    /// One UE's schedule, sorted by time, as `(time, target AP)` pairs.
+    /// One UE's schedule, sorted by time, as `(time, target AP)` pairs —
+    /// exactly `compile()` filtered to `ue`, at the cost of one pass over
+    /// the plan plus a sort of that UE's moves: with `ue` fixed, the
+    /// `(t, ue, ap)` order is the `(t, ap)` order, and moves with equal
+    /// keys yield equal pairs.
     pub fn schedule_for(&self, ue: usize) -> Vec<(SimTime, usize)> {
-        self.compile()
-            .into_iter()
-            .filter(|&(_, m)| m.ue == ue)
-            .map(|(t, m)| (t, m.ap))
-            .collect()
+        let mut out: Vec<(SimTime, usize)> = self
+            .moves
+            .iter()
+            .filter(|m| m.ue == ue)
+            .map(|m| (at_time(m.at_s), m.ap))
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     /// Latest scheduled move (used to size run horizons).
@@ -152,6 +151,11 @@ impl MovePlan {
         }
         plan
     }
+}
+
+/// A move's simulated time: `at_s` seconds, negative times clamped to 0.
+fn at_time(at_s: f64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_secs_f64(at_s.max(0.0))
 }
 
 #[cfg(test)]
@@ -243,5 +247,56 @@ mod tests {
         let empty: MovePlan = serde_json::from_str("{}").unwrap();
         assert!(empty.is_empty());
         assert_eq!(empty, MovePlan::default());
+    }
+
+    /// `schedule_for` against its definition: the whole compiled
+    /// timeline, filtered to one UE.
+    mod schedule_equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Times on a half-second grid (with negatives) make same-instant
+        /// moves across UEs common; the free draw covers the rest.
+        fn arb_at_s() -> impl Strategy<Value = f64> {
+            prop_oneof![(-4i32..8).prop_map(|k| f64::from(k) * 0.5), -5.0f64..10.0]
+        }
+
+        /// Moves of UEs `0..4`, plus copies of some of them (duplicate
+        /// moves), in an arbitrary order.
+        fn arb_plan() -> impl Strategy<Value = MovePlan> {
+            (
+                prop::collection::vec((0usize..4, arb_at_s(), 0usize..3), 0..24),
+                prop::collection::vec(any::<usize>(), 0..6),
+            )
+                .prop_map(|(moves, dups)| {
+                    let mut plan = MovePlan::new(0);
+                    for (ue, at_s, ap) in moves {
+                        plan = plan.with(MoveSpec { ue, at_s, ap });
+                    }
+                    for i in dups {
+                        if !plan.moves.is_empty() {
+                            let m = plan.moves[i % plan.moves.len()];
+                            plan.moves.insert(i % (plan.moves.len() + 1), m);
+                        }
+                    }
+                    plan
+                })
+        }
+
+        proptest! {
+            /// Equal for every UE, including UEs `4..6`, which never move.
+            #[test]
+            fn schedule_for_is_the_filtered_timeline(plan in arb_plan()) {
+                let timeline = plan.compile();
+                for ue in 0..6 {
+                    let want: Vec<(SimTime, usize)> = timeline
+                        .iter()
+                        .filter(|&&(_, m)| m.ue == ue)
+                        .map(|&(t, m)| (t, m.ap))
+                        .collect();
+                    prop_assert_eq!(plan.schedule_for(ue), want, "ue {} of {:?}", ue, plan);
+                }
+            }
+        }
     }
 }

@@ -927,12 +927,31 @@ impl NetworkBuilder {
     }
 
     /// Compute hop-count shortest-path routes from every node to every
-    /// address-owning node, installing host routes (/32). Ties broken by
-    /// lower link id — deterministic. Convenient for experiment topologies;
-    /// explicit routes can still override (longer prefixes win, and /32 is
-    /// the longest, so use explicit /32 routes *instead of* auto_routes when
-    /// both would apply).
+    /// address-owning node, installing host routes (/32). Deterministic:
+    /// a BFS from each target visits a node's links in ascending link id
+    /// order, and each node routes over the link it was *discovered* by.
+    /// So among equal-length paths the first hop is decided by BFS
+    /// discovery order first (the neighbour dequeued earliest wins), and
+    /// only among parallel links from that neighbour by the lowest link
+    /// id. Example: target T links to B (link 1) and A (link 5), X links
+    /// to A (link 2) and B (link 7); B is dequeued before A, so X routes
+    /// via link 7, not 2.
+    ///
+    /// Installs keep `set_route` semantics: a prefix already in a node's
+    /// table keeps its position and takes the last link written (an
+    /// address owned by several nodes ends up routed toward the
+    /// highest-numbered owner the node reaches). Each install is O(1): a
+    /// /32 is looked up only where it can already be present — the node
+    /// held /32s before the call, or the address is installed more than
+    /// once.
+    ///
+    /// Convenient for experiment topologies; explicit routes can still
+    /// override (longer prefixes win, and /32 is the longest, so use
+    /// explicit /32 routes *instead of* auto_routes when both would apply).
     pub fn auto_routes(&mut self) {
+        use crate::addr::{Addr, Prefix};
+        use crate::fxhash::FxHashMap;
+        use std::collections::hash_map::Entry;
         let n = self.nodes.len();
         // adjacency: node -> [(neighbor, link)]
         let mut adj: Vec<Vec<(NodeId, LinkId)>> = vec![Vec::new(); n];
@@ -940,15 +959,38 @@ impl NetworkBuilder {
             adj[l.a].push((l.b, lid));
             adj[l.b].push((l.a, lid));
         }
+        // How often each address is installed: more than once when two
+        // nodes own it, or one node lists it twice.
+        let mut owners: FxHashMap<Addr, u32> = FxHashMap::default();
+        for info in &self.nodes {
+            for &a in info.addrs() {
+                *owners.entry(a).or_insert(0) += 1;
+            }
+        }
+        // Table positions of the /32s a node may already hold: the ones it
+        // had before this call, then each repeated address's first install.
+        let mut held: FxHashMap<(NodeId, Prefix), usize> = FxHashMap::default();
+        let mut preset = vec![false; n];
+        for (node, info) in self.nodes.iter().enumerate() {
+            for (i, &(p, _)) in info.routes().iter().enumerate() {
+                if p.len == 32 {
+                    held.insert((node, p), i);
+                    preset[node] = true;
+                }
+            }
+        }
+        let mut dist = vec![usize::MAX; n];
+        let mut via: Vec<Option<LinkId>> = vec![None; n];
+        let mut q = std::collections::VecDeque::with_capacity(n);
+        let mut installs: Vec<(Prefix, bool)> = Vec::new();
         for target in 0..n {
             if self.nodes[target].addrs().is_empty() {
                 continue;
             }
             // BFS from target; first-hop of the reverse path gives each
             // node's outgoing link toward target.
-            let mut dist = vec![usize::MAX; n];
-            let mut via: Vec<Option<LinkId>> = vec![None; n];
-            let mut q = std::collections::VecDeque::new();
+            dist.fill(usize::MAX);
+            via.fill(None);
             dist[target] = 0;
             q.push_back(target);
             while let Some(u) = q.pop_front() {
@@ -960,14 +1002,28 @@ impl NetworkBuilder {
                     }
                 }
             }
-            let addrs = self.nodes[target].addrs().to_vec();
+            installs.clear();
+            installs.extend(
+                self.nodes[target]
+                    .addrs()
+                    .iter()
+                    .map(|&a| (Prefix::new(a, 32), owners[&a] > 1)),
+            );
+            // `via[target]` is None: the target gets no route to itself.
             for (node, &hop) in via.iter().enumerate() {
-                if node == target {
-                    continue;
-                }
-                if let Some(link) = hop {
-                    for &a in &addrs {
-                        self.nodes[node].set_route(crate::addr::Prefix::new(a, 32), link);
+                let Some(link) = hop else { continue };
+                let routes = self.nodes[node].routes_mut();
+                for &(prefix, repeated) in &installs {
+                    if !repeated && !preset[node] {
+                        routes.push((prefix, link));
+                        continue;
+                    }
+                    match held.entry((node, prefix)) {
+                        Entry::Occupied(e) => routes[*e.get()].1 = link,
+                        Entry::Vacant(e) => {
+                            e.insert(routes.len());
+                            routes.push((prefix, link));
+                        }
                     }
                 }
             }
@@ -1658,6 +1714,163 @@ mod tests {
             let json = serde_json::to_string(&f).unwrap();
             let back: NetFault = serde_json::from_str(&json).unwrap();
             assert_eq!(back, f, "{json}");
+        }
+    }
+
+    #[test]
+    fn auto_routes_ties_go_to_the_first_discovered_neighbour() {
+        // T links to B (link 1) and A (link 5); X links to A (link 2) and
+        // B (link 7). Both of X's paths to T have two hops. The BFS from T
+        // dequeues B before A, so X is discovered over link 7 and keeps
+        // it, although link 2 has the lower id. Links 0, 3, 4 and 6 join
+        // two spare nodes only to fix the ids.
+        let mut b = NetworkBuilder::new(1);
+        let [t, a, bb, x, s0, s1] = ["t", "a", "b", "x", "s0", "s1"].map(|n| b.node(n));
+        let t_addr = Addr::new(10, 0, 0, 1);
+        b.addr(t, t_addr);
+        let cfg = LinkConfig::lan();
+        let spare = (s0, s1);
+        let mut ids = Vec::new();
+        for (u, v) in [spare, (t, bb), (x, a), spare, spare, (t, a), spare, (x, bb)] {
+            ids.push(b.link(u, v, cfg));
+        }
+        assert_eq!(ids, (0..8).collect::<Vec<_>>());
+        b.auto_routes();
+        assert_eq!(b.nodes[x].route_for(t_addr), Some(7));
+        assert_eq!(b.nodes[a].route_for(t_addr), Some(5));
+        assert_eq!(b.nodes[bb].route_for(t_addr), Some(1));
+        assert_eq!(b.nodes[s0].route_for(t_addr), None, "other component");
+    }
+
+    /// `auto_routes` against the original one-`set_route`-per-install
+    /// algorithm.
+    mod route_install {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The algorithm `auto_routes` replaced: a fresh BFS per target,
+        /// then `set_route` (a scan of the node's table) per install. Kept
+        /// as the reference its route tables must equal entry for entry.
+        fn auto_routes_reference(b: &mut NetworkBuilder) {
+            let n = b.nodes.len();
+            let mut adj: Vec<Vec<(NodeId, LinkId)>> = vec![Vec::new(); n];
+            for (lid, l) in b.links.iter().enumerate() {
+                adj[l.a].push((l.b, lid));
+                adj[l.b].push((l.a, lid));
+            }
+            for target in 0..n {
+                if b.nodes[target].addrs().is_empty() {
+                    continue;
+                }
+                let mut dist = vec![usize::MAX; n];
+                let mut via: Vec<Option<LinkId>> = vec![None; n];
+                let mut q = std::collections::VecDeque::new();
+                dist[target] = 0;
+                q.push_back(target);
+                while let Some(u) = q.pop_front() {
+                    for &(v, lid) in &adj[u] {
+                        if dist[v] == usize::MAX {
+                            dist[v] = dist[u] + 1;
+                            via[v] = Some(lid);
+                            q.push_back(v);
+                        }
+                    }
+                }
+                let addrs = b.nodes[target].addrs().to_vec();
+                for (node, &hop) in via.iter().enumerate() {
+                    if node == target {
+                        continue;
+                    }
+                    if let Some(link) = hop {
+                        for &a in &addrs {
+                            b.nodes[node].set_route(Prefix::new(a, 32), link);
+                        }
+                    }
+                }
+            }
+        }
+
+        /// A random topology. Addresses come from a pool of eight, so
+        /// nodes with several addresses, addresses owned by two nodes and
+        /// addresses listed twice by one node are all common.
+        #[derive(Clone, Debug)]
+        struct Topo {
+            n: usize,
+            /// `(a, k)`: a link from `a` to `(a + k) % n`, `k` in `1..n`.
+            /// Sparse draws leave components disconnected; dense ones make
+            /// parallel links and equal-length paths.
+            links: Vec<(usize, usize)>,
+            /// `(node, pool index)`.
+            addrs: Vec<(usize, u8)>,
+            /// Routes set before the call: `(node, pool index, prefix
+            /// length, link)`. Pool indices 8 and 9 are owned by nobody.
+            preset: Vec<(usize, u8, u8, LinkId)>,
+            /// Call `auto_routes` a second time, so every node starts the
+            /// second call already holding the first call's /32s.
+            twice: bool,
+        }
+
+        fn pool(i: u8) -> Addr {
+            Addr::new(10, 0, 0, i + 1)
+        }
+
+        fn arb_topo() -> impl Strategy<Value = Topo> {
+            (2usize..10).prop_flat_map(|n| {
+                let len = prop_oneof![Just(32u8), Just(32u8), 0u8..32];
+                (
+                    prop::collection::vec((0..n, 1..n), 0..16),
+                    prop::collection::vec((0..n, 0u8..8), 0..12),
+                    prop::collection::vec((0..n, 0u8..10, len, 0usize..8), 0..6),
+                    any::<bool>(),
+                )
+                    .prop_map(move |(links, addrs, preset, twice)| Topo {
+                        n,
+                        links,
+                        addrs,
+                        preset,
+                        twice,
+                    })
+            })
+        }
+
+        fn builder(t: &Topo) -> NetworkBuilder {
+            let mut b = NetworkBuilder::new(1);
+            for i in 0..t.n {
+                b.node(format!("n{i}"));
+            }
+            for &(a, k) in &t.links {
+                b.link(a, (a + k) % t.n, LinkConfig::lan());
+            }
+            for &(node, i) in &t.addrs {
+                b.addr(node, pool(i));
+            }
+            for &(node, i, len, link) in &t.preset {
+                b.route(node, Prefix::new(pool(i), len), link);
+            }
+            b
+        }
+
+        proptest! {
+            /// Every node's table equals the reference's as a sequence
+            /// (same entries, same order), and lookups agree on every pool
+            /// address and on an address no route covers.
+            #[test]
+            fn auto_routes_matches_set_route_reference(t in arb_topo()) {
+                let mut fast = builder(&t);
+                let mut reference = builder(&t);
+                for _ in 0..if t.twice { 2 } else { 1 } {
+                    fast.auto_routes();
+                    auto_routes_reference(&mut reference);
+                }
+                let miss = Addr::new(192, 168, 0, 1);
+                for (node, (got, want)) in fast.nodes.iter().zip(&reference.nodes).enumerate() {
+                    prop_assert_eq!(got.routes(), want.routes(), "node {} of {:?}", node, t);
+                    for dst in (0..10).map(pool).chain([miss]) {
+                        prop_assert_eq!(got.route_for(dst), want.route_for(dst));
+                        prop_assert_eq!(got.route_for(dst), got.route_for_linear(dst));
+                    }
+                }
+            }
         }
     }
 }

@@ -158,6 +158,14 @@ impl NodeInfo {
         self.generation += 1;
     }
 
+    /// The route list itself, for bulk installs that know which prefixes
+    /// are already present (`NetworkBuilder::auto_routes`). The caller
+    /// keeps `set_route`'s invariant: prefixes stay unique.
+    pub(crate) fn routes_mut(&mut self) -> &mut Vec<(Prefix, LinkId)> {
+        self.generation += 1;
+        &mut self.routes
+    }
+
     /// Remove a route, returning whether it existed.
     pub fn remove_route(&mut self, prefix: Prefix) -> bool {
         let before = self.routes.len();
