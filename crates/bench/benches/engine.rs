@@ -1,7 +1,7 @@
 //! Criterion benches for the simulation substrate: event engine, RNG,
 //! statistics — the loops every experiment spins millions of times.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dlte_sim::stats::{jain_index, Samples, Welford};
 use dlte_sim::{EventQueue, SimDuration, SimRng, SimTime, Simulation, World};
 
@@ -19,6 +19,24 @@ impl World for Ticker {
     }
 }
 
+/// The classic hold model: every dispatched event schedules one successor
+/// an exponentially distributed delay later, so the queue stays at the
+/// depth it was filled to and every dispatch is one pop plus one push.
+struct Hold {
+    rng: SimRng,
+}
+
+/// Mean hold delay: 20 ms, between a fabric hop and a protocol timer.
+const HOLD_MEAN_NS: f64 = 20e6;
+
+impl World for Hold {
+    type Event = ();
+    fn handle(&mut self, _now: SimTime, _ev: (), queue: &mut EventQueue<()>) {
+        let delay = self.rng.exp(HOLD_MEAN_NS) as u64;
+        queue.schedule_in(SimDuration::from_nanos(delay), ());
+    }
+}
+
 fn bench_event_engine(c: &mut Criterion) {
     c.bench_function("engine/dispatch_100k_events", |b| {
         b.iter(|| {
@@ -28,6 +46,27 @@ fn bench_event_engine(c: &mut Criterion) {
             black_box(sim.events_dispatched())
         })
     });
+
+    // `dispatch_100k_events` keeps one event pending, so it cannot see how
+    // the queue scales with depth. These hold the `sim.queue_peak` depths
+    // of perfbench's `ping-central` (5,400) and `ping-dlte` (85,200).
+    for depth in [5_400u32, 85_200] {
+        let mut sim = Simulation::new(Hold {
+            rng: SimRng::new(7),
+        });
+        let mut rng = SimRng::new(8);
+        for _ in 0..depth {
+            let at = SimTime::from_nanos(rng.exp(HOLD_MEAN_NS) as u64);
+            sim.queue_mut().schedule_at(at, ());
+        }
+        let id = BenchmarkId::new("engine/hold_100k_events_at_depth", depth);
+        c.bench_with_input(id, &depth, |b, _| {
+            b.iter(|| {
+                sim.run_to_completion(100_000);
+                black_box(sim.queue().pending())
+            })
+        });
+    }
 
     c.bench_function("engine/schedule_cancel_10k", |b| {
         b.iter(|| {

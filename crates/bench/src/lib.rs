@@ -782,8 +782,8 @@ pub mod runner {
 
     /// Execute a shard-sweep bench invocation (`bench e16`): run every
     /// (size × shard count) combination sequentially and return the
-    /// document for `BENCH_shard.json`. The sweep itself panics if any
-    /// work counter diverges across shard counts.
+    /// document for `BENCH_shard.json`. Fails, naming the size and shard
+    /// counts, if any work counter diverges across shard counts.
     pub fn run_shard_bench(inv: &BenchInvocation) -> Result<ShardBench, String> {
         use dlte::experiments::e16_shard_scale as e16;
         let mut p = e16::Params {
@@ -802,7 +802,7 @@ pub mod runner {
         if let Some(n) = inv.ues_per_ap {
             p.ues_per_ap = n;
         }
-        let runs = e16::bench_runs(&p);
+        let runs = e16::bench_runs(&p).map_err(|e| e.to_string())?;
         Ok(ShardBench {
             sizes: p.sizes.clone(),
             ues_per_ap: p.ues_per_ap,

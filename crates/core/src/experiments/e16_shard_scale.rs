@@ -11,9 +11,9 @@
 //! Two claims, both enforced here rather than eyeballed:
 //!
 //! * **Invariance** — events dispatched, packets forwarded and packets
-//!   delivered are bit-identical at every shard count. The sweep panics
-//!   if any counter diverges, so a golden run at `--shards 4` *is* the
-//!   single-engine result.
+//!   delivered are bit-identical at every shard count. The sweep returns
+//!   a [`ShardDivergence`] if any counter diverges (the table panics on
+//!   it), so a golden run at `--shards 4` *is* the single-engine result.
 //! * **Throughput** — with AP-local traffic the shards exchange no
 //!   packets, so wall-clock throughput (events/sec) scales with cores.
 //!   Timing never enters the golden-checked table; it lives in
@@ -135,43 +135,73 @@ fn run_one(size: usize, n_shards: usize, p: &Params) -> ShardBenchRun {
     }
 }
 
+/// A work counter that differed across shard counts at one size: the
+/// invariance claim failed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ShardDivergence {
+    pub size: usize,
+    /// Shard count of the size's first run, which the others must match.
+    pub base_shards: usize,
+    pub shards: usize,
+    /// `(events_dispatched, packets_forwarded, delivered)` of each run.
+    pub base: (u64, u64, u64),
+    pub got: (u64, u64, u64),
+}
+
+impl std::fmt::Display for ShardDivergence {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "shard-count invariance violated at size {} ({} vs {} shards): \
+             (events, pkts forwarded, delivered) {:?} vs {:?}",
+            self.size, self.base_shards, self.shards, self.base, self.got
+        )
+    }
+}
+
+impl std::error::Error for ShardDivergence {}
+
+fn counters(r: &ShardBenchRun) -> (u64, u64, u64) {
+    (r.events_dispatched, r.packets_forwarded, r.delivered)
+}
+
+/// Check that the runs of one size all report the first run's work
+/// counters, whatever their shard count.
+pub fn check_invariance(runs: &[ShardBenchRun]) -> Result<(), ShardDivergence> {
+    let Some(base) = runs.first() else {
+        return Ok(());
+    };
+    match runs.iter().find(|r| counters(r) != counters(base)) {
+        None => Ok(()),
+        Some(r) => Err(ShardDivergence {
+            size: r.size,
+            base_shards: base.shards,
+            shards: r.shards,
+            base: counters(base),
+            got: counters(r),
+        }),
+    }
+}
+
 /// Run the full (size × shard count) sweep sequentially (each run owns
 /// the machine, so its wall-clock is honest) and enforce the invariance
-/// claim: every counter must be bit-identical across shard counts.
-/// This is the entry point `dlte-run bench e16` uses.
-pub fn bench_runs(p: &Params) -> Vec<ShardBenchRun> {
+/// claim: every counter must be bit-identical across shard counts. Stops
+/// at the first size whose runs diverge. This is the entry point
+/// `dlte-run bench e16` uses.
+pub fn bench_runs(p: &Params) -> Result<Vec<ShardBenchRun>, ShardDivergence> {
     let mut runs = Vec::new();
     for &size in &p.sizes {
-        let mut first: Option<&ShardBenchRun> = None;
         let start = runs.len();
         for &n in &p.shard_counts {
             runs.push(run_one(size, n, p));
         }
-        for r in &runs[start..] {
-            match first {
-                None => first = Some(r),
-                Some(base) => {
-                    assert_eq!(
-                        (r.events_dispatched, r.packets_forwarded, r.delivered),
-                        (
-                            base.events_dispatched,
-                            base.packets_forwarded,
-                            base.delivered
-                        ),
-                        "shard-count invariance violated at size {} ({} vs {} shards)",
-                        size,
-                        base.shards,
-                        r.shards,
-                    );
-                }
-            }
-        }
+        check_invariance(&runs[start..])?;
     }
-    runs
+    Ok(runs)
 }
 
 pub fn run_with(p: Params) -> Table {
-    let runs = bench_runs(&p);
+    let runs = bench_runs(&p).unwrap_or_else(|e| panic!("{e}"));
     let mut t = Table::new(
         "E16",
         "Shard scale sweep: one dLTE deployment on N engine shards, counters shard-invariant",
@@ -221,9 +251,9 @@ mod tests {
             total_s: 2.0,
             ..Default::default()
         };
-        // bench_runs itself asserts invariance; here we also check the
+        // bench_runs itself checks invariance; here we also check the
         // runs actually did meaningful, distinct-shard work.
-        let runs = bench_runs(&p);
+        let runs = bench_runs(&p).expect("counters agree across shard counts");
         assert_eq!(runs.len(), 3);
         assert_eq!(runs[0].shards, 1);
         assert_eq!(runs[1].shards, 2);
@@ -252,5 +282,40 @@ mod tests {
         }
         let again = run_with(p);
         assert_eq!(t.rows, again.rows);
+    }
+
+    fn run(size: usize, shards: usize, counters: (u64, u64, u64)) -> ShardBenchRun {
+        ShardBenchRun {
+            size,
+            shards,
+            events_dispatched: counters.0,
+            packets_forwarded: counters.1,
+            delivered: counters.2,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn invariance_check_names_the_first_divergent_run() {
+        let agree = [run(10, 1, (5, 4, 3)), run(10, 2, (5, 4, 3))];
+        assert_eq!(check_invariance(&agree), Ok(()));
+        let diverged = [
+            run(10, 1, (5, 4, 3)),
+            run(10, 2, (5, 4, 3)),
+            run(10, 4, (5, 4, 2)),
+            run(10, 8, (6, 4, 3)),
+        ];
+        let err = check_invariance(&diverged).unwrap_err();
+        assert_eq!(
+            err,
+            ShardDivergence {
+                size: 10,
+                base_shards: 1,
+                shards: 4,
+                base: (5, 4, 3),
+                got: (5, 4, 2),
+            }
+        );
+        assert!(err.to_string().contains("size 10 (1 vs 4 shards)"), "{err}");
     }
 }

@@ -5,6 +5,7 @@
 //! measurement (standing in for the OTT services dLTE leans on).
 
 use crate::addr::Addr;
+use crate::fxhash::FxHashMap;
 use crate::node::{NodeCtx, NodeHandler};
 use crate::packet::{FlowId, Packet, Payload};
 use dlte_sim::stats::Samples;
@@ -163,7 +164,7 @@ pub struct Pinger {
     pub probe_bytes: u32,
     /// RTT samples, milliseconds.
     pub rtt_ms: Samples,
-    outstanding: std::collections::HashMap<u64, SimTime>,
+    outstanding: FxHashMap<u64, SimTime>,
     seq: u64,
 }
 
@@ -175,7 +176,7 @@ impl Pinger {
             interval,
             probe_bytes: 100,
             rtt_ms: Samples::new(),
-            outstanding: std::collections::HashMap::new(),
+            outstanding: FxHashMap::default(),
             seq: 0,
         }
     }

@@ -1,9 +1,9 @@
 //! End-to-end tracing: who delivered what, how late, via how many hops.
 
+use crate::fxhash::FxHashMap;
 use crate::packet::{FlowId, Packet};
 use dlte_sim::stats::{Samples, Welford};
 use dlte_sim::SimTime;
-use std::collections::HashMap;
 
 /// Per-flow delivery record.
 #[derive(Clone, Debug, Default)]
@@ -18,7 +18,7 @@ pub struct FlowTrace {
 /// Network-wide trace statistics.
 #[derive(Clone, Debug, Default)]
 pub struct TraceStats {
-    flows: HashMap<FlowId, FlowTrace>,
+    flows: FxHashMap<FlowId, FlowTrace>,
     /// Deliveries that were not flow data (control, etc.).
     pub other_delivered: u64,
     pub drops_queue: u64,

@@ -14,9 +14,15 @@
 //!   and ties across origins break by origin id — an order that does not
 //!   depend on any queue-global state;
 //! * cancellation via [`EventKey`] empties the event's slab slot in O(1) —
-//!   no per-pop hash probing. The slot stays owned by its heap entry until
-//!   that entry surfaces and is discarded, so a heap entry never needs a
+//!   no per-pop hash probing. The slot stays owned by its queued key until
+//!   that key surfaces and is discarded, so a queued key never needs a
 //!   reuse guard of its own.
+//!
+//! The keys are kept in a calendar queue ([`EventQueue`]): a small binary
+//! heap for the current time window, a wheel of fixed-width time buckets
+//! for the next ≈ 268 ms, and an overflow heap beyond. Buckets only
+//! partition keys by time and every pop takes the minimum, so the order is
+//! exactly that of one heap over all keys, at O(1) insert for most of them.
 //!
 //! The canonical key exists for the sharded engine (see [`crate::shard`]):
 //! because `(origin, oseq)` pairs are a pure function of each origin's own
@@ -33,6 +39,25 @@ use std::collections::BinaryHeap;
 /// a small queue at every drain boundary would churn the allocator for a few
 /// hundred bytes of savings.
 pub const RECLAIM_MIN_SLOTS: usize = 64;
+
+/// A calendar bucket is `2^BUCKET_SHIFT` ns ≈ 16.4 µs wide. A constant, not
+/// a tuning knob: over the same span, 2^16 ns buckets ran perfbench's
+/// workloads 5–14 % slower, and 2^13 or 2^12 ns were no faster.
+const BUCKET_SHIFT: u32 = 14;
+
+/// Buckets in the wheel: with [`BUCKET_SHIFT`] the wheel spans 2^28 ns
+/// ≈ 268 ms of simulated time past the current window. Keys further out
+/// wait in the overflow heap.
+const WHEEL_BUCKETS: u64 = 16384;
+
+/// End of a bucket list.
+const NIL: u32 = u32::MAX;
+
+/// The calendar bucket number of an instant. `SimTime::MAX` maps to
+/// 2^50 − 1, so window arithmetic on bucket numbers cannot overflow.
+fn bucket_of(at: SimTime) -> u64 {
+    at.as_nanos() >> BUCKET_SHIFT
+}
 
 /// Identifies a scheduled event so it can be canceled before it fires.
 /// Internally `(slot, guard)`: the slot indexes the queue's slab, and the
@@ -89,24 +114,53 @@ impl Ord for HeapKey {
 }
 
 /// One slab entry. `event: None` means fired or canceled. A slot is owned
-/// by exactly one heap entry from `schedule_*` until that entry leaves the
-/// heap (popped, or discarded as an orphan), and only then returns to the
-/// free list — so a heap entry's slot is live iff it holds an event, with
-/// no guard to compare. `guard` is consulted by [`EventQueue::cancel`]
-/// alone: an [`EventKey`] only acts on the slot while its guard matches.
+/// by its key from `schedule_*` until that key leaves the near heap
+/// (popped, or discarded as an orphan), and only then returns to the free
+/// list — so a key's slot is live iff it holds an event, with no guard to
+/// compare. `guard` is consulted by [`EventQueue::cancel`] alone: an
+/// [`EventKey`] only acts on the slot while its guard matches.
+///
+/// The slot also keeps its own canonical key and a `next` link, so a
+/// wheel bucket is an intrusive list through the slab: parking a key in a
+/// bucket costs no storage beyond the slot itself.
 struct Slot<E> {
     guard: u64,
     event: Option<E>,
+    at: SimTime,
+    oseq: u64,
+    origin: u32,
+    /// Next slot in the same wheel bucket, or [`NIL`].
+    next: u32,
 }
 
-/// A priority queue of future events: a slab of scheduled payloads indexed
-/// by a heap of canonical `(time, origin, oseq)` keys. Cancellation empties
-/// the slab slot by index — O(1), no hashing — and the orphaned heap key
-/// (with its slot) is released whenever it reaches the top.
+/// A priority queue of future events: a slab of scheduled payloads plus a
+/// calendar queue of their canonical `(time, origin, oseq)` keys (R. Brown,
+/// "Calendar queues", CACM 1988), in three tiers split by bucket number:
+///
+/// * `near`, a binary heap of every key before `end_bucket` — the current
+///   window, and any later insert behind it; every pop takes its minimum;
+/// * the wheel, [`WHEEL_BUCKETS`] buckets covering `end_bucket` onwards,
+///   O(1) insert;
+/// * `far`, an overflow heap for keys at or past the wheel's span.
+///
+/// When `near` runs dry the next non-empty bucket is heapified into it, so
+/// the order is exactly the single heap's: buckets only partition keys by
+/// time. Cancellation empties the slab slot by index — O(1), no hashing —
+/// and the orphaned key (with its slot) is released when it surfaces.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<HeapKey>>,
+    near: BinaryHeap<Reverse<HeapKey>>,
+    /// Bucket list heads; bucket `b` sits at index `b % WHEEL_BUCKETS`.
+    /// Allocated on the first wheel insert, released by `reclaim`.
+    wheel: Vec<u32>,
+    /// Keys parked in the wheel, orphans included.
+    in_wheel: usize,
+    far: BinaryHeap<Reverse<HeapKey>>,
+    /// The first bucket not drained into `near`. Invariant: the wheel and
+    /// `far` hold only keys in this bucket or later, and `far` only keys
+    /// at least [`WHEEL_BUCKETS`] buckets on.
+    end_bucket: u64,
     slots: Vec<Slot<E>>,
-    /// Slab indices no heap entry refers to, reused LIFO.
+    /// Slab indices no key refers to, reused LIFO.
     free: Vec<u32>,
     /// Number of scheduled, not-yet-canceled events.
     live: usize,
@@ -129,7 +183,11 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            near: BinaryHeap::new(),
+            wheel: Vec::new(),
+            in_wheel: 0,
+            far: BinaryHeap::new(),
+            end_bucket: 0,
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -153,8 +211,8 @@ impl<E> EventQueue<E> {
     /// shard count. Worlds that never shard can ignore this entirely —
     /// everything defaults to origin 0, which preserves plain global FIFO.
     ///
-    /// Panics if `origin` does not fit in 32 bits (the heap stores it as
-    /// `u32`; a silently truncated origin would break the total order).
+    /// Panics if `origin` does not fit in 32 bits (keys store it as `u32`;
+    /// a silently truncated origin would break the total order).
     pub fn set_origin(&mut self, origin: u64) {
         self.cur_origin = narrow_origin(origin);
     }
@@ -210,31 +268,114 @@ impl<E> EventQueue<E> {
         let at = at.max(self.now);
         let guard = self.next_guard;
         self.next_guard += 1;
+        let filled = Slot {
+            guard,
+            event: Some(event),
+            at,
+            oseq,
+            origin,
+            next: NIL,
+        };
         let slot = match self.free.pop() {
             Some(i) => {
-                self.slots[i as usize] = Slot {
-                    guard,
-                    event: Some(event),
-                };
+                self.slots[i as usize] = filled;
                 i
             }
             None => {
                 let i = u32::try_from(self.slots.len()).expect("event slab exceeds u32 slots");
-                self.slots.push(Slot {
-                    guard,
-                    event: Some(event),
-                });
+                self.slots.push(filled);
                 i
             }
         };
-        self.heap.push(Reverse(HeapKey {
+        self.file(HeapKey {
             at,
             oseq,
             origin,
             slot,
-        }));
+        });
         self.live += 1;
         EventKey { slot, guard }
+    }
+
+    /// Put a key into its tier. Any key before the window goes to `near`,
+    /// however early: `peek_time` may have advanced the window past an
+    /// instant that a later `schedule_keyed` still targets. A key exactly at
+    /// the span's end goes to `far` — in the wheel it would wrap onto the
+    /// next bucket to drain.
+    fn file(&mut self, k: HeapKey) {
+        let b = bucket_of(k.at);
+        if b < self.end_bucket {
+            self.near.push(Reverse(k));
+        } else if b - self.end_bucket < WHEEL_BUCKETS {
+            self.link(b, k.slot);
+        } else {
+            self.far.push(Reverse(k));
+        }
+    }
+
+    /// Push `slot` (whose own fields hold its key) onto bucket `b`'s list.
+    fn link(&mut self, b: u64, slot: u32) {
+        if self.wheel.is_empty() {
+            self.wheel = vec![NIL; WHEEL_BUCKETS as usize];
+        }
+        let head = &mut self.wheel[(b % WHEEL_BUCKETS) as usize];
+        self.slots[slot as usize].next = *head;
+        *head = slot;
+        self.in_wheel += 1;
+    }
+
+    /// Make `near` non-empty unless the queue holds no key at all: drain the
+    /// wheel's next non-empty bucket into it, first jumping the window to
+    /// the overflow minimum when the wheel is empty.
+    fn refill(&mut self) -> bool {
+        while self.near.is_empty() {
+            if self.in_wheel == 0 {
+                let Some(&Reverse(k)) = self.far.peek() else {
+                    return false;
+                };
+                self.end_bucket = bucket_of(k.at);
+                self.pull_far();
+            }
+            self.drain_bucket();
+        }
+        true
+    }
+
+    /// Heapify bucket `end_bucket` into the (empty) near heap and advance
+    /// the window one bucket. The bucket the span newly covers has the
+    /// drained bucket's index; `far` keys that fall in it move there.
+    fn drain_bucket(&mut self) {
+        let idx = (self.end_bucket % WHEEL_BUCKETS) as usize;
+        let mut cur = std::mem::replace(&mut self.wheel[idx], NIL);
+        self.end_bucket += 1;
+        if cur != NIL {
+            let mut keys = std::mem::take(&mut self.near).into_vec();
+            while cur != NIL {
+                let s = &self.slots[cur as usize];
+                keys.push(Reverse(HeapKey {
+                    at: s.at,
+                    oseq: s.oseq,
+                    origin: s.origin,
+                    slot: cur,
+                }));
+                cur = s.next;
+            }
+            self.in_wheel -= keys.len();
+            self.near = BinaryHeap::from(keys);
+        }
+        self.pull_far();
+    }
+
+    /// Move the `far` keys the span now covers into their buckets.
+    fn pull_far(&mut self) {
+        while let Some(&Reverse(k)) = self.far.peek() {
+            let b = bucket_of(k.at);
+            if b - self.end_bucket >= WHEEL_BUCKETS {
+                break;
+            }
+            self.far.pop();
+            self.link(b, k.slot);
+        }
     }
 
     /// Schedule `event` after a relative delay from now.
@@ -249,7 +390,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Cancel a previously scheduled event: empty its slab slot by index.
-    /// The slot returns to the free list only when its orphaned heap key
+    /// The slot returns to the free list only when its orphaned key
     /// surfaces. Idempotent; canceling an event that already fired is a
     /// no-op (the slot's guard number no longer matches, the slot is empty,
     /// or — after a [`EventQueue::reclaim`] — the slot index is out of
@@ -278,8 +419,8 @@ impl<E> EventQueue<E> {
         self.slots.iter().filter_map(|s| s.event.as_ref())
     }
 
-    /// True if no live events remain. Orphaned heap keys of canceled events
-    /// are invisible here: the live count already excludes them, so a queue
+    /// True if no live events remain. Orphaned keys of canceled events are
+    /// invisible here: the live count already excludes them, so a queue
     /// whose only entries were canceled reports empty, never a phantom
     /// event.
     pub fn is_empty(&self) -> bool {
@@ -287,37 +428,28 @@ impl<E> EventQueue<E> {
     }
 
     /// Firing time of the next live event, if any. Never reports a canceled
-    /// event's time: orphaned heap keys at the top are lazily discarded
-    /// here, exactly as `pop` would.
+    /// event's time: orphaned keys at the top are lazily discarded here,
+    /// exactly as `pop` would.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.purge_stale_top();
-        self.heap.peek().map(|Reverse(k)| k.at)
+        self.live_top().map(|k| k.at)
     }
 
-    /// Whether this heap key's event is still scheduled. The slot cannot
-    /// have been reused while the key is in the heap, so a held event is
-    /// necessarily the one the key was pushed for.
-    fn key_is_live(&self, k: HeapKey) -> bool {
-        self.slots[k.slot as usize].event.is_some()
-    }
-
-    /// Pop the orphaned heap key of a canceled event and release its slot.
-    fn discard_top(&mut self, k: HeapKey) {
-        self.heap.pop();
-        self.free.push(k.slot);
-    }
-
-    /// Drop canceled events' orphaned keys off the heap top until a live
-    /// key (or nothing) is exposed. Amortized O(1): each key is popped at
-    /// most once over the queue's lifetime, whether here or in
-    /// `pop_at_or_before`.
-    fn purge_stale_top(&mut self) {
-        while let Some(&Reverse(k)) = self.heap.peek() {
-            if self.key_is_live(k) {
-                break;
+    /// The minimum key over all tiers, left on top of `near`. Orphaned keys
+    /// of canceled events that surface first are discarded and their slots
+    /// freed. Each key passes through each tier at most once, and a refill
+    /// steps over at most one wheel's worth of empty buckets.
+    fn live_top(&mut self) -> Option<HeapKey> {
+        while self.refill() {
+            let &Reverse(k) = self.near.peek()?;
+            // The slot cannot have been reused while its key is queued, so a
+            // held event is necessarily the one the key was filed for.
+            if self.slots[k.slot as usize].event.is_some() {
+                return Some(k);
             }
-            self.discard_top(k);
+            self.near.pop();
+            self.free.push(k.slot);
         }
+        None
     }
 
     /// Slab capacity in slots — how much memory the queue holds onto for
@@ -327,12 +459,13 @@ impl<E> EventQueue<E> {
         self.slots.capacity()
     }
 
-    /// Release the slab, free list, and heap storage if the queue is fully
-    /// drained. The slab is grow-only during a run (slots are reused, never
-    /// shrunk), so a burst — a handover storm, a chaos fault volley — leaves
-    /// its high-water mark allocated forever. The drivers call this at drain
-    /// boundaries (end of `run_until`, which the sharded engine hits for
-    /// idle shards at every idle-jump epoch) to give the memory back.
+    /// Release the slab, free list and calendar storage if the queue is
+    /// fully drained. The slab is grow-only during a run (slots are reused,
+    /// never shrunk), so a burst — a handover storm, a chaos fault volley —
+    /// leaves its high-water mark allocated forever. The drivers call this
+    /// at drain boundaries (end of `run_until`, which the sharded engine
+    /// hits for idle shards at every idle-jump epoch) to give the memory
+    /// back.
     ///
     /// No-op unless the queue is empty (live events must keep their slots)
     /// or still small ([`RECLAIM_MIN_SLOTS`]): reclaiming a handful of slots
@@ -346,10 +479,15 @@ impl<E> EventQueue<E> {
         if self.live != 0 || self.slots.capacity() < RECLAIM_MIN_SLOTS {
             return;
         }
-        // Every slot is empty and every heap key is an orphan: drop the lot.
+        // Every slot is empty and every queued key is an orphan: drop the
+        // lot and restart the calendar at the current instant.
         self.slots = Vec::new();
         self.free = Vec::new();
-        self.heap = BinaryHeap::new();
+        self.near = BinaryHeap::new();
+        self.wheel = Vec::new();
+        self.in_wheel = 0;
+        self.far = BinaryHeap::new();
+        self.end_bucket = bucket_of(self.now);
     }
 
     pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -361,28 +499,24 @@ impl<E> EventQueue<E> {
     /// their time, so the queue never reports a horizon stop just because a
     /// canceled key preceded the next live event.
     fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        loop {
-            let &Reverse(k) = self.heap.peek()?;
-            if !self.key_is_live(k) {
-                self.discard_top(k);
-                continue;
-            }
-            if k.at > horizon {
-                // Live event beyond the horizon: leave it in place.
-                return None;
-            }
-            self.heap.pop();
-            let s = &mut self.slots[k.slot as usize];
-            let event = s.event.take().expect("live key's slot vanished");
-            self.free.push(k.slot);
-            self.live -= 1;
-            self.now = k.at;
-            return Some((k.at, event));
+        let k = self.live_top()?;
+        if k.at > horizon {
+            // Live event beyond the horizon: leave it in place.
+            return None;
         }
+        self.near.pop();
+        let event = self.slots[k.slot as usize]
+            .event
+            .take()
+            .expect("live key's slot vanished");
+        self.free.push(k.slot);
+        self.live -= 1;
+        self.now = k.at;
+        Some((k.at, event))
     }
 }
 
-/// The heap's 32-bit origin for a public `u64` origin tag. Checked: two
+/// The keys' 32-bit origin for a public `u64` origin tag. Checked: two
 /// origins that collided after truncation would break the total order.
 fn narrow_origin(origin: u64) -> u32 {
     u32::try_from(origin).expect("event origin exceeds u32::MAX")
@@ -741,7 +875,7 @@ mod tests {
         let dead = queue.schedule_at(SimTime::from_millis(1), Ev::Tag(1));
         queue.cancel(dead);
         // The new event reuses the vacated slot; the stale key must not be
-        // able to cancel it, and the orphaned heap key must not dispatch it
+        // able to cancel it, and the orphaned key must not dispatch it
         // early.
         queue.schedule_at(SimTime::from_millis(5), Ev::Tag(2));
         queue.cancel(dead);
@@ -865,7 +999,7 @@ mod tests {
 
         /// Origins of the remote allocators: disjoint from the local origins
         /// `0..4` (every origin has exactly one allocator), the largest being
-        /// the widest origin the heap entry can hold.
+        /// the widest origin a key can hold.
         const REMOTE_ORIGINS: [u64; 3] = [7, 1 << 20, u32::MAX as u64];
 
         fn arb_qop() -> impl Strategy<Value = QOp> {
@@ -956,6 +1090,197 @@ mod tests {
                     prop_assert_eq!(q.pending(), reference.len());
                     prop_assert_eq!(q.peek_time(), reference.keys().next().map(|k| k.0));
                 }
+                while pop(&mut q, &mut reference, SimTime::MAX) {}
+                prop_assert!(q.is_empty() && reference.is_empty());
+            }
+        }
+
+        /// A key's offset in the calendar test. Each variant aims at a
+        /// different tier of the calendar or at a boundary between two.
+        #[derive(Clone, Copy, Debug)]
+        enum Dt {
+            /// `now` itself.
+            Zero,
+            /// Less than one bucket past `now`.
+            SubBucket(u64),
+            /// A few buckets past `now`.
+            Buckets(u64),
+            /// `d` buckets either side of the end of the wheel's span (the
+            /// window's end plus the span), `off` ns into that bucket.
+            SpanEdge { d: i64, off: u64 },
+            /// Whole seconds past `now`: the overflow heap.
+            Secs(u64),
+            /// `SimTime::MAX`, the far-future sentinel.
+            Max,
+        }
+
+        const BUCKET_NS: u64 = 1 << BUCKET_SHIFT;
+
+        fn arb_dt() -> impl Strategy<Value = Dt> {
+            prop_oneof![
+                Just(Dt::Zero),
+                (0u64..BUCKET_NS).prop_map(Dt::SubBucket),
+                (0u64..BUCKET_NS).prop_map(Dt::SubBucket),
+                (1u64..8).prop_map(Dt::Buckets),
+                (-1i64..=1, 0u64..BUCKET_NS).prop_map(|(d, off)| Dt::SpanEdge { d, off }),
+                (-1i64..=1, 0u64..BUCKET_NS).prop_map(|(d, off)| Dt::SpanEdge { d, off }),
+                (1u64..4).prop_map(Dt::Secs),
+                Just(Dt::Max),
+            ]
+        }
+
+        /// The instant `dt` names for `q` (never before `now`).
+        fn resolve(q: &EventQueue<u32>, dt: Dt) -> SimTime {
+            let now = q.now();
+            let at = match dt {
+                Dt::Zero => now,
+                Dt::SubBucket(ns) => now + SimDuration::from_nanos(ns),
+                Dt::Buckets(k) => now + SimDuration::from_nanos(k * BUCKET_NS),
+                Dt::SpanEdge { d, off } => {
+                    let edge = (q.end_bucket + WHEEL_BUCKETS) as i128 + d as i128;
+                    let ns = edge * BUCKET_NS as i128 + off as i128;
+                    SimTime::from_nanos(ns.min(u64::MAX as i128) as u64)
+                }
+                Dt::Secs(s) => now + SimDuration::from_secs(s),
+                Dt::Max => SimTime::MAX,
+            };
+            at.max(now)
+        }
+
+        /// One operation of the calendar-vs-`BTreeMap` test below.
+        #[derive(Clone, Debug)]
+        enum COp {
+            /// `set_origin` for subsequent local schedules.
+            Origin(u64),
+            /// `schedule_at` under the current origin, `n` times.
+            Schedule { dt: Dt, n: usize },
+            /// `schedule_keyed` from remote allocator `r`.
+            Keyed { r: usize, dt: Dt },
+            /// `peek_time`, which may advance the window to the next key's
+            /// bucket, then a keyed insert `ns` past `now` — behind the
+            /// advanced window, as a cross-shard delivery can be.
+            PeekInsert { r: usize, ns: u64 },
+            /// Cancel the `i % issued`-th key ever issued.
+            Cancel(usize),
+            /// `pop_at_or_before` the instant `dt` names, `k` times (`Max`
+            /// stops one nanosecond short, so sentinel keys stay queued).
+            Pop { dt: Dt, k: usize },
+            /// Cancel every live `SimTime::MAX` key, pop everything, then
+            /// `reclaim` — which now finds the queue empty.
+            DrainReclaim,
+        }
+
+        fn arb_cop() -> impl Strategy<Value = COp> {
+            prop_oneof![
+                (0u64..4).prop_map(COp::Origin),
+                (arb_dt(), 1usize..4).prop_map(|(dt, n)| COp::Schedule { dt, n }),
+                (arb_dt(), 1usize..4).prop_map(|(dt, n)| COp::Schedule { dt, n }),
+                (0usize..3, arb_dt()).prop_map(|(r, dt)| COp::Keyed { r, dt }),
+                (0usize..3, 0u64..3 * BUCKET_NS).prop_map(|(r, ns)| COp::PeekInsert { r, ns }),
+                (0usize..3, 0u64..3 * BUCKET_NS).prop_map(|(r, ns)| COp::PeekInsert { r, ns }),
+                any::<usize>().prop_map(COp::Cancel),
+                (arb_dt(), 1usize..4).prop_map(|(dt, k)| COp::Pop { dt, k }),
+                (arb_dt(), 1usize..4).prop_map(|(dt, k)| COp::Pop { dt, k }),
+                (arb_dt(), 1usize..4).prop_map(|(dt, k)| COp::Pop { dt, k }),
+                (0u8..8, arb_dt()).prop_map(|(x, dt)| match x {
+                    0 => COp::DrainReclaim,
+                    _ => COp::Pop { dt, k: 1 },
+                }),
+            ]
+        }
+
+        proptest! {
+            /// The calendar tiers dispatch exactly like an ordered map keyed
+            /// by `(at, origin, oseq)`. Keys land on every tier boundary:
+            /// within the window, behind it after a `peek_time` advanced
+            /// it, one bucket either side of the span's end, in the
+            /// overflow heap and at `SimTime::MAX`. Each case runs long
+            /// enough for the window to wrap the wheel several times.
+            #[test]
+            fn calendar_matches_ordered_map_reference(
+                ops in prop::collection::vec(arb_cop(), 500..700),
+            ) {
+                type Key = (SimTime, u64, u64);
+                let mut q: EventQueue<u32> = EventQueue::new();
+                let mut reference: std::collections::BTreeMap<Key, u32> = Default::default();
+                let mut issued: Vec<(EventKey, Key)> = Vec::new();
+                let mut local_oseq = [0u64; 4];
+                let mut remote_oseq = [0u64; 3];
+                let pop = |q: &mut EventQueue<u32>,
+                           reference: &mut std::collections::BTreeMap<Key, u32>,
+                           horizon: SimTime| {
+                    let want = match reference.first_key_value() {
+                        Some((&k, _)) if k.0 <= horizon => reference.remove_entry(&k),
+                        _ => None,
+                    };
+                    let got = q.pop_at_or_before(horizon);
+                    assert_eq!(got, want.map(|((at, _, _), id)| (at, id)));
+                    got.is_some()
+                };
+                let mut keyed = |q: &mut EventQueue<u32>,
+                                 reference: &mut std::collections::BTreeMap<Key, u32>,
+                                 issued: &mut Vec<(EventKey, Key)>,
+                                 r: usize,
+                                 at: SimTime| {
+                    let (origin, oseq) = (REMOTE_ORIGINS[r], remote_oseq[r]);
+                    remote_oseq[r] += 1;
+                    let id = issued.len() as u32;
+                    let key = q.schedule_keyed(at, origin, oseq, id);
+                    reference.insert((at, origin, oseq), id);
+                    issued.push((key, (at, origin, oseq)));
+                };
+                for op in ops {
+                    match op {
+                        COp::Origin(o) => q.set_origin(o),
+                        COp::Schedule { dt, n } => {
+                            for _ in 0..n {
+                                let at = resolve(&q, dt);
+                                let origin = q.origin();
+                                let oseq = local_oseq[origin as usize];
+                                local_oseq[origin as usize] += 1;
+                                let id = issued.len() as u32;
+                                let key = q.schedule_at(at, id);
+                                reference.insert((at, origin, oseq), id);
+                                issued.push((key, (at, origin, oseq)));
+                            }
+                        }
+                        COp::Keyed { r, dt } => {
+                            let at = resolve(&q, dt);
+                            keyed(&mut q, &mut reference, &mut issued, r, at);
+                        }
+                        COp::PeekInsert { r, ns } => {
+                            prop_assert_eq!(q.peek_time(), reference.keys().next().map(|k| k.0));
+                            let at = q.now() + SimDuration::from_nanos(ns);
+                            keyed(&mut q, &mut reference, &mut issued, r, at);
+                        }
+                        COp::Cancel(i) => {
+                            if !issued.is_empty() {
+                                let (key, canonical) = issued[i % issued.len()];
+                                q.cancel(key);
+                                reference.remove(&canonical);
+                            }
+                        }
+                        COp::Pop { dt, k } => {
+                            let horizon = resolve(&q, dt).min(SimTime::from_nanos(u64::MAX - 1));
+                            for _ in 0..k {
+                                pop(&mut q, &mut reference, horizon);
+                            }
+                        }
+                        COp::DrainReclaim => {
+                            for &(key, canonical) in &issued {
+                                if canonical.0 == SimTime::MAX {
+                                    q.cancel(key);
+                                    reference.remove(&canonical);
+                                }
+                            }
+                            while pop(&mut q, &mut reference, SimTime::MAX) {}
+                            q.reclaim();
+                        }
+                    }
+                    prop_assert_eq!(q.pending(), reference.len());
+                }
+                // The window went round the wheel at least once.
+                prop_assert!(bucket_of(q.now()) >= WHEEL_BUCKETS, "now {:?}", q.now());
                 while pop(&mut q, &mut reference, SimTime::MAX) {}
                 prop_assert!(q.is_empty() && reference.is_empty());
             }

@@ -154,7 +154,7 @@ proptest! {
 
     /// Cancels that land on already-purged orphan slots are exact no-ops.
     ///
-    /// The lazy-purge design leaves a canceled event's heap key behind until
+    /// The lazy-purge design leaves a canceled event's queued key behind until
     /// it surfaces; `peek_time` discards such orphans eagerly and the freed
     /// slot is then reused by the next schedule. This drives that exact
     /// sequence — cancel, purge via peek, reuse, then *re-cancel the stale
